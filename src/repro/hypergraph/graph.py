@@ -382,16 +382,14 @@ class GraphSnapshot:
         """Eq. (1) for every row-index pair: sorted-neighbor intersection
         with ``min`` sums, one pass for the batch.
 
-        Dispatches to the active kernel backend
-        (:func:`repro.kernels.active_backend`); the numpy backend is the
-        pinned reference, the numba backend matches its accumulation
-        order.
+        Computed by :func:`repro.kernels.batch_mhh`, which pins the float
+        accumulation order.
         """
         a = np.atleast_1d(np.asarray(a, dtype=np.int64))
         b = np.atleast_1d(np.asarray(b, dtype=np.int64))
         if len(a) == 0 or len(self.keys) == 0:
             return np.zeros(len(a), dtype=np.float64)
-        return kernels.active_backend().batch_mhh(*self._kernel_args(a, b))
+        return kernels.batch_mhh(*self._kernel_args(a, b))
 
     def batch_common_neighbor_counts(
         self, a: np.ndarray, b: np.ndarray
@@ -401,9 +399,7 @@ class GraphSnapshot:
         b = np.atleast_1d(np.asarray(b, dtype=np.int64))
         if len(a) == 0 or len(self.keys) == 0:
             return np.zeros(len(a), dtype=np.int64)
-        return kernels.active_backend().batch_common_neighbor_counts(
-            *self._kernel_args(a, b)
-        )
+        return kernels.batch_common_neighbor_counts(*self._kernel_args(a, b))
 
 
 class WeightedGraph:

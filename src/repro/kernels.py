@@ -1,10 +1,13 @@
-"""Reference (pinned) numpy implementations of the hot kernels.
+"""The three hottest array kernels, as plain numpy functions.
 
-These are the implementations that used to live on
-:class:`repro.hypergraph.graph.GraphSnapshot` and
-:class:`repro.ml.mlp._AdamState`, moved here verbatim so alternate
-backends have a single numerical contract to match: same float
-accumulation order, same results bit-for-bit on the numpy path.
+The reconstruction hot loop spends most of its array time in three
+operations: the batched MHH intersection sum (Eq. (1) over sorted CSR
+neighbor rows), the batched common-neighbor count (same intersection,
+unweighted), and the MLP's fused Adam update over the flat parameter
+buffer.  :class:`repro.hypergraph.graph.GraphSnapshot` and
+:class:`repro.ml.mlp._AdamState` call these functions directly.  Their
+float accumulation order is pinned: changing it changes fixed-seed
+reconstructions.
 
 All functions operate on the raw CSR arrays of a snapshot (``keys`` /
 ``nbr`` / ``wts`` / ``alive`` / ``indptr`` / ``degrees``); ``indptr``
@@ -19,8 +22,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-
-name = "numpy"
 
 
 def _expand_rows(

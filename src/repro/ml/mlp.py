@@ -41,11 +41,9 @@ class _AdamState:
     All parameters live in a single contiguous float64 buffer (the MLP
     layers are views into it), so one step is a single fused update over
     the whole buffer instead of per-parameter loops.  The update is
-    dispatched through :func:`repro.kernels.active_backend`; the numpy
-    reference performs the same elementwise float operations (and
-    roundings) as the textbook per-parameter form, so training stays
-    bit-identical, and the numba backend matches the reference's
-    operation order.
+    :func:`repro.kernels.adam_step`, which performs the same elementwise
+    float operations (and roundings) as the textbook per-parameter form,
+    so training stays bit-identical.
     """
 
     def __init__(self, n_params: int) -> None:
@@ -63,7 +61,7 @@ class _AdamState:
         eps: float = 1e-8,
     ) -> None:
         self.t += 1
-        kernels.active_backend().adam_step(
+        kernels.adam_step(
             params, grads, self.m, self.v, self.t, lr, beta1, beta2, eps
         )
 

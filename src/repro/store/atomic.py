@@ -1,14 +1,12 @@
 """Durable file primitives: sha256 digests and fsync-before-rename writes.
 
-Every byte the artifact store (and ``MARIOH.save``) publishes goes
+Every byte the artifact store, ``MARIOH.save`` and
+:class:`~repro.resilience.checkpoint.CheckpointStore` publish goes
 through :func:`atomic_write_bytes`: write to a temp file in the target
 directory, flush, ``fsync``, ``os.replace`` over the final name, then
 fsync the directory entry.  A process killed at any point leaves either
 the complete old file or the complete new one - never a torn tail that
-parses halfway.  This is the same discipline
-:class:`~repro.resilience.checkpoint.CheckpointStore` applies to
-orchestrator checkpoints, factored out so model files and store blobs
-get it too.
+parses halfway.
 """
 
 from __future__ import annotations

@@ -1,36 +1,15 @@
-"""Kernel backend registry tests and numpy/numba parity checks.
+"""Reference checks for the plain numpy kernels in :mod:`repro.kernels`.
 
-The registry (:mod:`repro.kernels`) must select the numpy reference by
-default, honor ``REPRO_KERNELS`` and :func:`~repro.kernels.use_backend`
-overrides with the documented precedence, degrade gracefully when numba
-is missing, and fail loudly on explicit requests for an unavailable
-backend.  The numba parity class only runs where numba is importable;
-elsewhere it skips visibly.
+The snapshot methods must be thin calls into the module functions, and
+the fused Adam step must reproduce the textbook per-parameter update.
 """
 
 from itertools import combinations
 
 import numpy as np
-import pytest
 
 from repro import kernels
-from repro.core.marioh import MARIOH
 from repro.hypergraph.graph import WeightedGraph
-from repro.kernels import numpy_backend
-
-requires_numba = pytest.mark.skipif(
-    not kernels.numba_available(),
-    reason="numba is not importable in this environment",
-)
-
-
-@pytest.fixture(autouse=True)
-def _clean_registry(monkeypatch):
-    """Isolate every test from ambient env vars and warn-once state."""
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-    monkeypatch.setattr(kernels, "_env_fallback_warned", False)
-    yield
-    assert not kernels._override_stack, "use_backend context leaked"
 
 
 def _random_graph(seed, n_nodes=24, edge_prob=0.3, max_weight=6):
@@ -51,94 +30,16 @@ def _random_pairs(snapshot, seed, n_pairs=200):
     return a, b
 
 
-class TestRegistry:
-    def test_default_backend_is_numpy(self):
-        assert kernels.active_backend_name() == "numpy"
-        assert kernels.active_backend() is numpy_backend
-        assert kernels.DEFAULT_BACKEND == "numpy"
-
-    def test_available_backends_always_lists_numpy(self):
-        assert kernels.available_backends()[0] == "numpy"
-
-    def test_env_var_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        assert kernels.active_backend_name() == "numpy"
-
-    def test_env_var_is_case_insensitive(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, " NumPy ")
-        assert kernels.active_backend_name() == "numpy"
-
-    def test_unknown_env_value_warns_once_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "cython")
-        with pytest.warns(RuntimeWarning, match="not a known kernel backend"):
-            assert kernels.active_backend_name() == "numpy"
-        # warn-once: the second call is silent
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            assert kernels.active_backend_name() == "numpy"
-
-    def test_env_numba_falls_back_with_warning_when_missing(
-        self, monkeypatch
-    ):
-        if kernels.numba_available():
-            pytest.skip("numba installed; fallback path unreachable")
-        monkeypatch.setenv(kernels.ENV_VAR, "numba")
-        with pytest.warns(RuntimeWarning, match="numba is not importable"):
-            assert kernels.active_backend_name() == "numpy"
-        assert kernels.active_backend() is numpy_backend
-
-    def test_use_backend_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "cython")  # would warn if read
-        with kernels.use_backend("numpy"):
-            assert kernels.active_backend_name() == "numpy"
-
-    def test_use_backend_none_is_noop(self):
-        with kernels.use_backend(None):
-            assert kernels.active_backend_name() == "numpy"
-
-    def test_use_backend_nests_and_unwinds(self):
-        with kernels.use_backend("numpy"):
-            with kernels.use_backend("numpy"):
-                assert kernels.active_backend_name() == "numpy"
-            assert kernels.active_backend_name() == "numpy"
-
-    def test_unknown_backend_name_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.resolve_backend("cython")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            with kernels.use_backend("cython"):
-                pass  # pragma: no cover
-
-    def test_explicit_numba_raises_when_missing(self):
-        if kernels.numba_available():
-            pytest.skip("numba installed; unavailability path unreachable")
-        with pytest.raises(kernels.KernelBackendUnavailable):
-            kernels.resolve_backend("numba")
-        with pytest.raises(kernels.KernelBackendUnavailable):
-            with kernels.use_backend("numba"):
-                pass  # pragma: no cover
-
-    def test_marioh_rejects_unknown_kernels_kwarg(self):
-        with pytest.raises(ValueError, match="kernels"):
-            MARIOH(kernels="cython")
-
-    def test_marioh_accepts_numpy_and_default(self):
-        assert MARIOH().kernels is None
-        assert MARIOH(kernels="numpy").kernels == "numpy"
-
-
 class TestNumpyBackendContract:
-    """The numpy module is the pinned reference the snapshot dispatches
-    to; a quick direct check that dispatch and module agree."""
+    """The module functions are the pinned reference the snapshot calls;
+    a quick direct check that the snapshot and the module agree."""
 
     def test_snapshot_dispatch_matches_direct_module_call(self):
         graph = _random_graph(0)
         snapshot = graph.snapshot()
         a, b = _random_pairs(snapshot, 1)
         via_snapshot = snapshot.batch_mhh(a, b)
-        direct = numpy_backend.batch_mhh(
+        direct = kernels.batch_mhh(
             snapshot.keys,
             snapshot.nbr,
             snapshot.wts,
@@ -163,7 +64,7 @@ class TestNumpyBackendContract:
         lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
         for t in range(1, 6):
             grads = rng.normal(size=n)
-            numpy_backend.adam_step(
+            kernels.adam_step(
                 params, grads, m, v, t, lr, beta1, beta2, eps
             )
             for i in range(n):  # textbook scalar Adam
@@ -176,84 +77,3 @@ class TestNumpyBackendContract:
             np.testing.assert_allclose(params, ref_params, rtol=0, atol=1e-9)
             np.testing.assert_allclose(m, ref_m, rtol=0, atol=1e-12)
             np.testing.assert_allclose(v, ref_v, rtol=0, atol=1e-12)
-
-
-@requires_numba
-class TestNumbaParity:
-    """Numba kernels must match the numpy reference to 1e-9 (integer
-    graph kernels: exactly) on randomized inputs, including snapshots
-    that carry tombstones and consumed slack from structural patching."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_batch_mhh_matches_numpy(self, seed):
-        snapshot = _random_graph(seed).snapshot()
-        a, b = _random_pairs(snapshot, seed + 100)
-        with kernels.use_backend("numpy"):
-            reference = snapshot.batch_mhh(a, b)
-        with kernels.use_backend("numba"):
-            compiled = snapshot.batch_mhh(a, b)
-        np.testing.assert_allclose(compiled, reference, rtol=0, atol=1e-9)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_common_neighbor_counts_match_numpy(self, seed):
-        snapshot = _random_graph(seed).snapshot()
-        a, b = _random_pairs(snapshot, seed + 200)
-        with kernels.use_backend("numpy"):
-            reference = snapshot.batch_common_neighbor_counts(a, b)
-        with kernels.use_backend("numba"):
-            compiled = snapshot.batch_common_neighbor_counts(a, b)
-        np.testing.assert_array_equal(compiled, reference)
-
-    def test_parity_on_structurally_patched_snapshot(self):
-        graph = _random_graph(7)
-        graph.snapshot()
-        rng = np.random.default_rng(8)
-        edges = list(graph.edges())
-        for u, v in edges[::4]:
-            graph.remove_edge(u, v)  # tombstones
-        for _ in range(10):  # slack-consuming inserts
-            u, v = (int(x) for x in rng.choice(24, size=2, replace=False))
-            graph.add_edge(u, v, int(rng.integers(1, 4)))
-        snapshot = graph.snapshot()
-        assert snapshot.n_tombstones > 0
-        a, b = _random_pairs(snapshot, 9)
-        with kernels.use_backend("numpy"):
-            reference = snapshot.batch_mhh(a, b)
-        with kernels.use_backend("numba"):
-            compiled = snapshot.batch_mhh(a, b)
-        np.testing.assert_allclose(compiled, reference, rtol=0, atol=1e-9)
-
-    def test_adam_step_matches_numpy(self):
-        rng = np.random.default_rng(5)
-        n = 64
-        init = rng.normal(size=n)
-        grad_seq = rng.normal(size=(8, n))
-        results = {}
-        for backend in ("numpy", "numba"):
-            params = init.copy()
-            m = np.zeros(n)
-            v = np.zeros(n)
-            with kernels.use_backend(backend):
-                module = kernels.active_backend()
-                for t, grads in enumerate(grad_seq, start=1):
-                    module.adam_step(
-                        params, grads, m, v, t, 1e-3, 0.9, 0.999, 1e-8
-                    )
-            results[backend] = params
-        np.testing.assert_allclose(
-            results["numba"], results["numpy"], rtol=0, atol=1e-9
-        )
-
-    def test_reconstruction_matches_numpy_backend(self):
-        from repro.hypergraph.projection import project
-        from repro.hypergraph.split import split_source_target
-        from tests.conftest import random_hypergraph
-
-        hypergraph = random_hypergraph(seed=3, n_nodes=16, n_edges=28)
-        source, target = split_source_target(hypergraph, seed=0)
-        target_graph = project(target)
-        reference = MARIOH(seed=0, max_epochs=10, kernels="numpy")
-        compiled = MARIOH(seed=0, max_epochs=10, kernels="numba")
-        result_reference = reference.fit_reconstruct(source, target_graph)
-        result_compiled = compiled.fit_reconstruct(source, target_graph)
-        assert result_compiled == result_reference

@@ -270,6 +270,25 @@ class TestCheckpointStore:
         store.write({"state": "beyond"})
         assert fresh._read_verified(store.backup_path) == {"state": "best"}
 
+    def test_kill_between_rotation_and_publish_rolls_back(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.resilience.checkpoint as checkpoint
+
+        store = CheckpointStore(tmp_path / "ck.json")
+        store.write({"state": "old"})
+
+        def killed(path, text):
+            raise KeyboardInterrupt("killed before the publish")
+
+        monkeypatch.setattr(checkpoint, "atomic_write_text", killed)
+        with pytest.raises(KeyboardInterrupt):
+            store.write({"state": "new"})
+        assert not store.path.exists()
+        fresh = CheckpointStore(store.path)
+        assert fresh.read() == {"state": "old"}
+        assert [event["event"] for event in fresh.events] == ["rollback"]
+
     def test_unreadable_bytes_treated_as_corruption(self, tmp_path):
         store = CheckpointStore(tmp_path / "ck.json")
         store.write({"n": 1})
