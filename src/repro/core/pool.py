@@ -15,11 +15,12 @@ cliques up to date under edge *removals* using two facts:
 
 So after removals it suffices to (a) discard cliques containing a
 removed pair and (b) re-enumerate cliques inside the closed
-neighborhoods of removed-edge endpoints, keeping those that contain an
-endpoint and are maximal in the full graph.  Step (a) uses an inverted
-node -> cliques index, so it touches only the cliques through a removed
-endpoint instead of scanning the whole clique set, and the sorted view
-served to the search loop is cached between changes.  The
+neighborhoods of the removed-edge endpoints that still have an edge,
+keeping those that contain such an endpoint (each is then maximal in
+the full graph).  Step (a) uses an inverted node -> cliques index, so
+it touches only the cliques through a removed endpoint instead of
+scanning the whole clique set, and the sorted view served to the
+search loop is cached between changes.  The
 ``engine="rescan"`` mode of :class:`~repro.core.marioh.MARIOH` remains
 the reference implementation; equivalence is covered by tests.
 """
@@ -34,8 +35,6 @@ from repro.hypergraph.cliques import (
     maximal_cliques,
 )
 from repro.hypergraph.graph import Node, WeightedGraph
-
-_NO_CLIQUES: Set[Clique] = set()
 
 
 class CliqueCandidatePool:
@@ -93,8 +92,9 @@ class CliqueCandidatePool:
 
     def sorted_members(self, clique: Clique) -> List[Node]:
         """Sorted member list of ``clique``, reusing the pool's cached
-        sort keys for tracked cliques (the Phase-2 sampler's fast path;
-        callers must not mutate the returned list)."""
+        sort keys for tracked cliques (the fast path of the Phase-2
+        sampler and the conversion pass; callers must not mutate the
+        returned list)."""
         entry = self._sort_keys.get(clique)
         if entry is not None:
             return entry[1]
@@ -109,7 +109,7 @@ class CliqueCandidatePool:
         exist in the graph).  Decrements that leave positive weight do
         not change the clique structure and need no notification.
         """
-        removed = [frozenset(pair) for pair in pairs]
+        removed = {(u, v) if u <= v else (v, u) for u, v in pairs}
         if not removed:
             # Even an empty notification re-syncs nothing: structural
             # changes without a matching notification stay detectable.
@@ -119,51 +119,55 @@ class CliqueCandidatePool:
         # counters in lockstep.  A gap means some structural mutation
         # (an unreported vanish, an out-of-band add/remove) bypassed the
         # pool, whose clique set may now be silently stale.
-        expected = self._synced_structure_version + len(set(removed))
+        expected = self._synced_structure_version + len(removed)
         actual = self._graph.structure_version
         if expected != actual and self._desync is None:
             self._desync = (
                 f"pool expected structure_version {expected} after "
-                f"{len(set(removed))} removal(s) but graph is at {actual}; "
+                f"{len(removed)} removal(s) but graph is at {actual}; "
                 "a structural mutation bypassed notify_edges_removed"
             )
         self._synced_structure_version = actual
-        endpoints: Set[Node] = set()
-        for pair in removed:
-            endpoints.update(pair)
 
         # (a) Broken cliques: any clique containing a removed pair.  The
         # inverted index narrows the scan to cliques through a removed
         # endpoint; a clique lies in by_node[u] & by_node[v] exactly
         # when it contains the pair {u, v}.
+        by_node = self._by_node
         broken: Set[Clique] = set()
-        for pair in removed:
-            u, v = tuple(pair)
-            broken |= self._by_node.get(u, _NO_CLIQUES) & self._by_node.get(
-                v, _NO_CLIQUES
-            )
+        endpoints: Set[Node] = set()
+        for u, v in removed:
+            endpoints.add(u)
+            endpoints.add(v)
+            through_u = by_node.get(u)
+            if through_u:
+                through_v = by_node.get(v)
+                if through_v:
+                    broken |= through_u & through_v
         changed = bool(broken)
         for clique in broken:
             self._cliques.discard(clique)
             self._index_discard(clique)
 
-        # (b) Newly maximal cliques all contain a removed-edge endpoint,
+        # (b) Newly maximal cliques all contain a removed-edge endpoint
+        # that still has an edge (a node of degree 0 lies in no clique),
         # and any clique through a vertex lives inside its closed
         # neighborhood - so the induced subgraph on those closed
-        # neighborhoods sees every candidate.
-        region: Set[Node] = set(endpoints)
-        for node in endpoints:
-            region.update(self._graph.neighbors(node))
-        subgraph = self._graph.subgraph(region)
-        for clique in maximal_cliques(subgraph):
-            if not (clique & endpoints):
-                continue
-            if clique in self._cliques:
-                continue
-            if is_maximal_clique(self._graph, clique):
-                self._cliques.add(clique)
-                self._index_add(clique)
-                changed = True
+        # neighborhoods sees every candidate.  A clique of that subgraph
+        # through such an endpoint is maximal in the full graph too: a
+        # vertex extending it would neighbor the endpoint, so it would
+        # lie in the subgraph and extend the clique there.
+        graph = self._graph
+        live = {node for node in endpoints if graph.degree(node)}
+        if live:
+            region: Set[Node] = set(live)
+            for node in live:
+                region.update(graph.neighbors(node))
+            for clique in maximal_cliques(graph.subgraph(region)):
+                if clique & live and clique not in self._cliques:
+                    self._cliques.add(clique)
+                    self._index_add(clique)
+                    changed = True
         if changed:
             self._sorted = None
 

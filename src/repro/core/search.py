@@ -10,7 +10,6 @@ runs out of edges, decaying θ after every iteration.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,26 +25,30 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.rng import MASK64, mix64, mix64_int
 
 
-def _replace_if_present(
-    clique: Clique, graph: WeightedGraph, reconstruction: Hypergraph
-) -> Optional[List[Tuple[int, int]]]:
-    """Convert ``clique`` into a hyperedge if all its edges still exist.
+def _convert(
+    graph: WeightedGraph,
+    reconstruction: Hypergraph,
+    candidates: Sequence[Clique],
+    scores: Sequence[float],
+    members_of: Callable[[Clique], List[Node]],
+    phase: str,
+    recorder: Optional[List[Tuple[Clique, str, float]]],
+) -> Tuple[int, List[Tuple[Node, Node]]]:
+    """Greedily convert ``candidates`` (in order) whose edges all exist.
 
-    On success, every internal edge's multiplicity drops by one (removed
-    at zero), the clique is added to the reconstruction, and the list of
-    pairs whose edges *vanished* (hit weight zero) is returned.  Returns
-    ``None`` when the clique no longer exists in the graph.
+    One :meth:`~repro.hypergraph.graph.WeightedGraph.convert_cliques`
+    pass decrements the converted cliques' edges; each converted clique
+    is added to the reconstruction (and the recorder) in candidate
+    order.  Returns the number converted and the pairs whose edges
+    vanished.
     """
-    members = sorted(clique)
-    if any(
-        not graph.has_edge(u, v) for u, v in combinations(members, 2)
-    ):
-        return None
-    reconstruction.add(members)
-    # Weight-only decrements patch the cached CSR snapshot in place and
-    # stamp the members' touch versions; only vanished edges trigger a
-    # structural invalidation (and a pool notification).
-    return graph.decrement_clique(members)
+    member_lists = [members_of(clique) for clique in candidates]
+    converted, vanished = graph.convert_cliques(member_lists)
+    for position in converted:
+        reconstruction.add(member_lists[position])
+        if recorder is not None:
+            recorder.append((candidates[position], phase, float(scores[position])))
+    return len(converted), vanished
 
 
 def sample_subcliques(
@@ -315,9 +318,6 @@ def bidirectional_search(
     """
     if not 0.0 <= r <= 100.0:
         raise ValueError(f"r must be a percentage in [0, 100], got {r}")
-    if rng is None:
-        rng = np.random.default_rng()
-
     cliques = pool.current() if pool is not None else maximal_cliques_list(graph)
     if not cliques:
         return graph, reconstruction, 0
@@ -336,23 +336,23 @@ def bidirectional_search(
         remaining, r, phase2_scope, cliques
     )
 
-    converted = 0
-    vanished_pairs: List[Tuple[int, int]] = []
+    members_of = pool.sorted_members if pool is not None else sorted
 
     # Phase 1: most promising maximal cliques, in descending score order.
-    for index in positive_indices:
-        vanished = _replace_if_present(cliques[index], graph, reconstruction)
-        if vanished is not None:
-            converted += 1
-            vanished_pairs.extend(vanished)
-            if recorder is not None:
-                recorder.append((cliques[index], "phase1", float(scores[index])))
+    converted, vanished_pairs = _convert(
+        graph,
+        reconstruction,
+        [cliques[i] for i in positive_indices],
+        scores[positive_indices],
+        members_of,
+        "phase1",
+        recorder,
+    )
 
     # Phase 2: sub-cliques hidden inside the least promising cliques.
     if not skip_negative_phase and negative_indices:
         tail = [cliques[i] for i in negative_indices]
         if sample_seed is not None:
-            members_of = pool.sorted_members if pool is not None else None
             subcliques = sample_subcliques_stable(
                 tail,
                 graph,
@@ -361,6 +361,8 @@ def bidirectional_search(
                 local_stamps=phase2_scope == "component",
             )
         else:
+            if rng is None:
+                rng = np.random.default_rng()
             subcliques = sample_subcliques(tail, rng)
         if subcliques:
             sub_scores = classifier.score(subcliques, graph, reference_graph)
@@ -370,13 +372,17 @@ def bidirectional_search(
                 if score > theta
             ]
             passing.sort(key=lambda pair: -pair[0])
-            for score, subclique in passing:
-                vanished = _replace_if_present(subclique, graph, reconstruction)
-                if vanished is not None:
-                    converted += 1
-                    vanished_pairs.extend(vanished)
-                    if recorder is not None:
-                        recorder.append((subclique, "phase2", float(score)))
+            count, vanished = _convert(
+                graph,
+                reconstruction,
+                [subclique for _, subclique in passing],
+                [score for score, _ in passing],
+                members_of,
+                "phase2",
+                recorder,
+            )
+            converted += count
+            vanished_pairs.extend(vanished)
 
     if pool is not None:
         pool.notify_edges_removed(vanished_pairs)

@@ -32,6 +32,11 @@ Mutations are classified into two kinds with different cache behavior:
   a periodic tombstone-compaction pass fall back to a full rebuild;
   :meth:`WeightedGraph.snapshot_patch_stats` counts each outcome.
 
+The reconstruction loop converts a whole batch of cliques per search
+phase with :meth:`WeightedGraph.convert_cliques`: one scalar loop over
+the adjacency dicts, then one vectorized snapshot patch for the batch,
+with every counter left as per-edge mutations would leave it.
+
 The per-node ``touch_version`` array is the invalidation key of the
 featurizers' feature-row cache (:mod:`repro.core.features`): a clique's
 cached feature row stays valid while ``max(touch_version)`` over its
@@ -43,8 +48,19 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -217,6 +233,38 @@ class GraphSnapshot:
         self.wts[pos[m:]] = weights
         np.add.at(self.weighted_degrees, iu, delta)
         np.add.at(self.weighted_degrees, iv, delta)
+        object.__setattr__(self, "version", version)
+        return True
+
+    def _patch_deletes_batch(
+        self, iu: np.ndarray, iv: np.ndarray, version: int
+    ) -> bool:
+        """Tombstone many *distinct* live edges in one vectorized pass.
+
+        Equivalent to ``_patch_delete`` per pair (weights are integer
+        valued, so the grouped degree sums are exact in any order) but
+        pays one binary search for the whole batch.  Returns False -
+        snapshot untouched - when any slot is missing or already dead;
+        the caller rebuilds.
+        """
+        n = len(self.keys)
+        if n == 0:
+            return False
+        search = np.concatenate([iu * self.key_base + iv,
+                                 iv * self.key_base + iu])
+        pos = np.minimum(np.searchsorted(self.keys, search), n - 1)
+        if not ((self.keys[pos] == search) & self.alive[pos]).all():
+            return False
+        rows = np.concatenate([iu, iv])
+        size = len(self.degrees)
+        self.weighted_degrees[:] -= np.bincount(
+            rows, weights=self.wts[pos], minlength=size
+        )
+        self.degrees[:] -= np.bincount(rows, minlength=size)
+        self.alive[pos] = False
+        self.wts[pos] = 0.0
+        object.__setattr__(self, "n_live", self.n_live - len(pos))
+        object.__setattr__(self, "n_tombstones", self.n_tombstones + len(pos))
         object.__setattr__(self, "version", version)
         return True
 
@@ -669,27 +717,177 @@ class WeightedGraph:
             self._patch(u, v, remaining)
         return remaining
 
-    def decrement_clique(
-        self, members: Iterable[Node], amount: int = 1
-    ) -> List[Tuple[Node, Node]]:
-        """Decrement every internal edge of a clique by ``amount``.
+    def decrement_clique(self, members: Iterable[Node]) -> List[Tuple[Node, Node]]:
+        """Convert one clique: decrement each of its internal edges by one.
 
-        This is the mutation a clique-to-hyperedge conversion performs:
-        each of the ``k*(k-1)/2`` pair weights drops by ``amount`` (edges
-        vanish at zero).  Pairs are processed in sorted order for
-        determinism.  Returns the list of pairs whose edges *vanished*
-        (reached weight zero) - the notification payload of
-        :meth:`repro.core.pool.CliqueCandidatePool.notify_edges_removed`.
-
-        Raises ``KeyError`` / ``ValueError`` (from
-        :meth:`decrement_edge`) if any pair is missing or under-weight;
-        callers are expected to check existence first.
+        A one-clique :meth:`convert_cliques` batch.  Returns the pairs
+        whose edges *vanished*, in sorted pair order.  Raises
+        ``KeyError`` - before mutating anything - if any pair is missing.
         """
-        vanished: List[Tuple[Node, Node]] = []
-        for u, v in combinations(sorted(members), 2):
-            if self.decrement_edge(u, v, amount) == 0:
-                vanished.append((u, v))
+        ordered = sorted(members)
+        converted, vanished = self.convert_cliques([ordered])
+        if not converted:
+            u, v = next(
+                (u, v) for u, v in combinations(ordered, 2)
+                if not self.has_edge(u, v)
+            )
+            raise KeyError(f"edge ({u}, {v}) not present")
         return vanished
+
+    def convert_cliques(
+        self, member_lists: Sequence[Sequence[Node]]
+    ) -> Tuple[List[int], List[Tuple[Node, Node]]]:
+        """Greedily convert a batch of cliques into hyperedges.
+
+        This is the mutation of Algorithm 3's conversion loop.  Cliques
+        are scanned in list order; each is given as an ascending list of
+        distinct nodes.  A clique whose internal edges are all still
+        present is *converted*: each of its ``k*(k-1)/2`` pair weights
+        drops by one, and edges vanish at zero.  A clique with a missing
+        pair - possibly consumed by an earlier conversion of the batch -
+        is skipped and mutates nothing.
+
+        Every observable value equals what one :meth:`decrement_edge`
+        per pair, in ``combinations`` order, would leave: ``version``,
+        ``structure_version``, each node's touch version and touch count,
+        weighted degrees, totals, and the snapshot patch counters.  The
+        dicts are updated in one scalar loop; the cached CSR snapshot is
+        patched once at the end (:meth:`_patch_conversions`).
+
+        Returns ``(converted, vanished)``: the positions in
+        ``member_lists`` of the converted cliques, and the pairs whose
+        edges vanished, in the order they vanished - the payload of
+        :meth:`repro.core.pool.CliqueCandidatePool.notify_edges_removed`.
+        """
+        adj = self._adj
+        touch_version = self._touch_version
+        touch_count = self._touch_count
+        weighted_degree = self._weighted_degree
+        converted: List[int] = []
+        vanished: List[Tuple[Node, Node]] = []
+        survived: List[Tuple[Node, Node]] = []
+        version = self._version
+        for position, members in enumerate(member_lists):
+            rows = [adj.get(u) for u in members]
+            if None in rows:
+                continue
+            k = len(members)
+            present = True
+            for i in range(k - 1):
+                row = rows[i]
+                for v in members[i + 1:]:
+                    if v not in row:
+                        present = False
+                        break
+                if not present:
+                    break
+            if not present:
+                continue
+            converted.append(position)
+            if k < 2:
+                continue
+            for i in range(k - 1):
+                u = members[i]
+                row_u = rows[i]
+                for j in range(i + 1, k):
+                    v = members[j]
+                    weight = row_u[v] - 1
+                    if weight:
+                        row_u[v] = weight
+                        rows[j][u] = weight
+                        survived.append((u, v))
+                    else:
+                        del row_u[v]
+                        del rows[j][u]
+                        vanished.append((u, v))
+            # Per-pair decrements would stamp each endpoint with the
+            # version of the last pair through it: for member i that is
+            # pair (i, k-1), number (i+1)(k-1) - i(i+1)/2 in order.
+            for i, u in enumerate(members):
+                touch_version[u] = version + (i + 1) * (k - 1) - i * (i + 1) // 2
+                touch_count[u] = touch_count.get(u, 0) + k - 1
+                weighted_degree[u] -= k - 1
+            version += k * (k - 1) // 2
+        decrements = version - self._version
+        if decrements == 0:
+            return converted, vanished
+        self._version = version
+        self._structure_version += len(vanished)
+        self._num_edges -= len(vanished)
+        self._total_weight -= decrements
+        if vanished:
+            self._neighbor_sets_cache = None
+            self._maximality_memo = None
+        if self._snapshot_cache is not None:
+            self._patch_conversions(vanished, survived)
+        return converted, vanished
+
+    def _patch_conversions(
+        self,
+        vanished: List[Tuple[Node, Node]],
+        survived: List[Tuple[Node, Node]],
+    ) -> None:
+        """Bring the cached snapshot up to date after a conversion batch.
+
+        Vanished edges are tombstoned in one vectorized pass; surviving
+        decremented pairs are queued as weight-only patches, exactly as
+        :meth:`_patch` would queue them.  When the per-edge path would
+        have tripped the compaction threshold part-way through, the
+        snapshot is dropped instead of patched, and the counters record
+        what the per-edge path would have: hits up to the tripping
+        delete, then one compaction miss.
+        """
+        snapshot = self._snapshot_cache
+        pending = self._pending_weight_patches
+        stats = self._patch_stats
+        if vanished:
+            trip = self._compaction_trip(snapshot, len(vanished))
+            if trip is not None:
+                stats["structural_hits"] += trip - 1
+                stats["compactions"] += 1
+                stats["structural_misses"] += 1
+                self._snapshot_cache = None
+                pending.clear()
+                return
+            rows = snapshot.index_of_array(
+                np.asarray(vanished, dtype=np.int64).ravel()
+            )
+            iu, iv = rows[0::2], rows[1::2]
+            if pending:
+                # A vanished pair's queued weight patch is superseded.
+                for a, b in zip(iu.tolist(), iv.tolist()):
+                    pending.pop((a, b) if a < b else (b, a), None)
+            if not snapshot._patch_deletes_batch(iu, iv, self._version):
+                stats["structural_misses"] += 1
+                self._snapshot_cache = None
+                pending.clear()
+                return
+            stats["structural_hits"] += len(vanished)
+        adj = self._adj
+        index = snapshot.index
+        for u, v in survived:
+            weight = adj[u].get(v)
+            if weight:
+                iu, iv = index[u], index[v]
+                pending[(iu, iv) if iu < iv else (iv, iu)] = weight
+
+    def _compaction_trip(
+        self, snapshot: GraphSnapshot, deletes: int
+    ) -> Optional[int]:
+        """Which of the next ``deletes`` in-place deletes (1-based) first
+        makes :meth:`_should_compact` hold, or None if none does.
+
+        Each delete turns two live slots into tombstones, so the used
+        slot count stays fixed and the tombstone count grows by two.
+        """
+        tombstones = snapshot.n_tombstones
+        used = tombstones + snapshot.n_live
+        bound = max(
+            self.snapshot_tombstone_min,
+            self.snapshot_tombstone_fraction * used,
+        )
+        step = max(1, math.floor((bound - tombstones) / 2) + 1)
+        return step if step <= deletes else None
 
     def _flush_weight_patches(self) -> None:
         """Apply every queued weight-only patch to the cached snapshot.

@@ -1,7 +1,11 @@
 """Unit tests for the WeightedGraph substrate."""
 
+from itertools import combinations
+
+import numpy as np
 import pytest
 
+from repro.hypergraph.cliques import maximal_cliques_list
 from repro.hypergraph.graph import WeightedGraph
 
 
@@ -393,6 +397,22 @@ class TestTouchVersionsAndPatching:
         assert graph.weight(1, 2) == 2
         assert not graph.has_edge(0, 2)
 
+    def test_decrement_clique_is_atomic(self):
+        graph = WeightedGraph()
+        graph.add_edge(0, 1, 2)
+        graph.add_edge(0, 2, 2)
+        graph.snapshot()
+        before = graph.copy()
+        version = graph.version
+        touches = {u: graph.touch_version(u) for u in (0, 1, 2)}
+        with pytest.raises(KeyError, match=r"\(1, 2\)"):
+            graph.decrement_clique([0, 1, 2])  # pair (1, 2) is missing
+        assert graph == before
+        assert graph.weight(0, 1) == graph.weight(0, 2) == 2
+        assert graph.version == version
+        assert {u: graph.touch_version(u) for u in (0, 1, 2)} == touches
+        assert graph.check_snapshot_coherence() is None
+
     def test_uids_are_unique(self, triangle_graph):
         assert triangle_graph.uid != triangle_graph.copy().uid
         assert WeightedGraph().uid != WeightedGraph().uid
@@ -427,3 +447,130 @@ class TestSnapshotKernels:
         np.testing.assert_array_equal(
             snapshot.weighted_degrees, [3.0, 8.0, 9.0, 0.0]
         )
+
+
+def _sequential_convert(graph, member_lists):
+    """Reference for :meth:`WeightedGraph.convert_cliques`: one
+    :meth:`WeightedGraph.decrement_edge` per pair, clique by clique."""
+    converted, vanished = [], []
+    for position, members in enumerate(member_lists):
+        pairs = list(combinations(members, 2))
+        if not all(graph.has_edge(u, v) for u, v in pairs):
+            continue
+        converted.append(position)
+        for u, v in pairs:
+            if graph.decrement_edge(u, v) == 0:
+                vanished.append((u, v))
+    return converted, vanished
+
+
+class TestConvertCliquesDifferential:
+    """The batched conversion pass against per-edge decrements."""
+
+    N_NODES = 14
+    UNKNOWN = 99
+
+    def _random_graph(self, rng):
+        graph = WeightedGraph(nodes=range(self.N_NODES))
+        for u, v in combinations(range(self.N_NODES), 2):
+            if rng.random() < 0.45:
+                # Many weight-1 edges, so conversions make edges vanish.
+                graph.add_edge(u, v, int(rng.choice([1, 1, 2, 3])))
+        return graph
+
+    def _random_batch(self, graph, rng):
+        """Cliques, sub-cliques, duplicates, non-cliques, unknown nodes."""
+        cliques = [sorted(c) for c in maximal_cliques_list(graph)]
+        batch = []
+        for _ in range(30):
+            kind = int(rng.integers(0, 5))
+            if kind <= 1 and cliques:
+                members = cliques[int(rng.integers(len(cliques)))]
+                if kind == 1 and len(members) > 2:
+                    size = int(rng.integers(2, len(members)))
+                    members = sorted(
+                        int(u) for u in rng.choice(members, size, replace=False)
+                    )
+                batch.append(list(members))
+            elif kind == 2 and batch:
+                batch.append(list(batch[int(rng.integers(len(batch)))]))
+            elif kind == 3:
+                size = int(rng.integers(2, 5))
+                batch.append(sorted(
+                    int(u) for u in rng.choice(self.N_NODES, size, replace=False)
+                ))
+            else:
+                members = sorted(int(u) for u in rng.choice(self.N_NODES, 2, replace=False))
+                batch.append(members + [self.UNKNOWN])
+        return batch
+
+    def _assert_same(self, batched, reference):
+        assert batched == reference  # the adjacency dicts
+        for attr in ("version", "structure_version", "num_edges"):
+            assert getattr(batched, attr) == getattr(reference, attr), attr
+        assert batched.total_weight() == reference.total_weight()
+        for u in list(range(self.N_NODES)) + [self.UNKNOWN]:
+            assert batched.touch_version(u) == reference.touch_version(u), u
+            assert batched.clique_touch_count([u]) == reference.clique_touch_count([u]), u
+            assert batched.weighted_degree(u) == reference.weighted_degree(u), u
+        assert (batched._snapshot_cache is None) == (reference._snapshot_cache is None)
+        assert batched.snapshot_patch_stats() == reference.snapshot_patch_stats()
+
+    def _assert_snapshot_current(self, batched, reference):
+        for graph in (batched, reference):
+            assert graph.check_snapshot_coherence() is None
+        live = batched.snapshot().compacted_arrays()
+        reference.snapshot()
+        assert batched.snapshot_patch_stats() == reference.snapshot_patch_stats()
+        rebuilt = batched._build_snapshot().compacted_arrays()
+        for key, value in rebuilt.items():
+            np.testing.assert_array_equal(live[key], value, err_msg=key)
+
+    def _run(self, seed, cached, compact):
+        # Two graphs built by the same mutation history, so their
+        # version counters agree before the first batch.
+        batched, reference = (
+            self._random_graph(np.random.default_rng(seed)) for _ in range(2)
+        )
+        if compact:
+            # A low threshold, so some batch trips compaction part-way.
+            for graph in (batched, reference):
+                graph.snapshot_tombstone_min = 2
+                graph.snapshot_tombstone_fraction = 0.1
+        rng = np.random.default_rng(seed + 1000)
+        for _ in range(3):
+            if cached:
+                for graph in (batched, reference):
+                    graph.snapshot()
+                    # Queued weight-only patches the batch must supersede.
+                    for u, v in list(graph.edges())[:3]:
+                        graph.add_edge(u, v, 1)
+            batch = self._random_batch(batched, rng)
+            got = batched.convert_cliques(batch)
+            want = _sequential_convert(reference, batch)
+            assert got == want
+            self._assert_same(batched, reference)
+            if cached:
+                self._assert_snapshot_current(batched, reference)
+        self._assert_snapshot_current(batched, reference)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_with_cached_snapshot(self, seed):
+        self._run(seed, cached=True, compact=False)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_without_snapshot(self, seed):
+        self._run(seed, cached=False, compact=False)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_across_compaction_threshold(self, seed):
+        self._run(seed, cached=True, compact=True)
+
+    def test_compaction_is_crossed(self):
+        graph = self._random_graph(np.random.default_rng(0))
+        graph.snapshot_tombstone_min = 2
+        graph.snapshot_tombstone_fraction = 0.1
+        graph.snapshot()
+        graph.convert_cliques([sorted(c) for c in maximal_cliques_list(graph)])
+        assert graph.snapshot_patch_stats()["compactions"] == 1
+        assert graph._snapshot_cache is None

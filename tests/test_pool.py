@@ -109,6 +109,65 @@ class TestCliqueCandidatePool:
         assert pool.matches_rescan()
 
 
+    def test_endpoints_all_at_degree_zero_skip_reenumeration(self, monkeypatch):
+        graph = WeightedGraph()
+        for u, v in combinations(range(3), 2):
+            graph.add_edge(u, v)
+        for u, v in combinations(range(10, 13), 2):
+            graph.add_edge(u, v)
+        pool = CliqueCandidatePool(graph)
+        vanished = graph.decrement_clique([0, 1, 2])
+        assert all(graph.degree(u) == 0 for u in range(3))
+
+        def no_subgraph(nodes):
+            raise AssertionError("re-enumerated around degree-0 endpoints")
+
+        monkeypatch.setattr(graph, "subgraph", no_subgraph)
+        pool.notify_edges_removed(vanished)
+        assert pool.current() == [frozenset(range(10, 13))]
+        assert pool.matches_rescan()
+        assert pool.check_invariants() is None
+
+
+class TestPoolParityAtScale:
+    """Engine parity on a dblp-regime HyperCL graph of ~2k edges."""
+
+    def test_incremental_matches_rescan(self, monkeypatch):
+        from repro import datasets
+        from repro.datasets.hypercl import hypercl_like
+        from repro.sharding.stitch import hypergraph_digest
+
+        reference = datasets.load("dblp", seed=0, store=False).hypergraph
+        source = hypercl_like(reference, scale=0.5, seed=3)
+        target = project(hypercl_like(reference, scale=1.7, seed=7))
+        assert 1500 <= target.num_edges <= 2500
+
+        notify = CliqueCandidatePool.notify_edges_removed
+        audits = []
+
+        def audited(self, pairs):
+            notify(self, pairs)
+            # Raise at once: a stale pool can stall the loop forever.
+            assert self.matches_rescan(), "pool diverged from a rescan"
+            audits.append(pairs)
+
+        monkeypatch.setattr(CliqueCandidatePool, "notify_edges_removed", audited)
+        for scope in ("global", "component"):
+            digests = {}
+            for engine in ("incremental", "rescan"):
+                audits.clear()
+                model = MARIOH(
+                    seed=0,
+                    engine=engine,
+                    phase2_scope=scope,
+                    strict_invariants=True,
+                ).fit(source, store=False)
+                digests[engine] = hypergraph_digest(model.reconstruct(target))
+                if engine == "incremental":
+                    assert len(audits) == model.n_iterations_ > 1
+            assert digests["incremental"] == digests["rescan"], scope
+
+
 class TestEngineEquivalence:
     """engine='incremental' must reproduce engine='rescan' exactly."""
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.classifier import CliqueClassifier
 from repro.core.search import (
-    _replace_if_present,
     bidirectional_search,
     decay_threshold,
     sample_subcliques,
@@ -31,34 +30,30 @@ class _ConstantScorer:
         )
 
 
-class TestReplaceIfPresent:
+class TestConvertCliques:
+    """The search loop's conversion entry point,
+    :meth:`WeightedGraph.convert_cliques`."""
+
     def test_replaces_and_reports_vanished_edges(self, triangle_graph):
-        reconstruction = Hypergraph(nodes=triangle_graph.nodes)
-        vanished = _replace_if_present(
-            frozenset({0, 1, 2}), triangle_graph, reconstruction
-        )
-        assert vanished is not None
-        assert sorted(vanished) == [(0, 1), (0, 2), (1, 2)]
-        assert frozenset({0, 1, 2}) in reconstruction
+        converted, vanished = triangle_graph.convert_cliques([[0, 1, 2]])
+        assert converted == [0]
+        assert vanished == [(0, 1), (0, 2), (1, 2)]
         assert triangle_graph.is_empty()
 
     def test_skips_when_edge_missing(self, triangle_graph):
         triangle_graph.remove_edge(0, 1)
-        reconstruction = Hypergraph(nodes=triangle_graph.nodes)
-        assert (
-            _replace_if_present(
-                frozenset({0, 1, 2}), triangle_graph, reconstruction
-            )
-            is None
-        )
-        assert reconstruction.num_unique_edges == 0
+        before = triangle_graph.copy()
+        version = triangle_graph.version
+        assert triangle_graph.convert_cliques([[0, 1, 2]]) == ([], [])
+        assert triangle_graph == before
+        assert triangle_graph.version == version
 
     def test_partial_weights_remain(self):
         graph = WeightedGraph()
         for u, v in [(0, 1), (1, 2), (0, 2)]:
             graph.add_edge(u, v, 2)
-        reconstruction = Hypergraph(nodes=graph.nodes)
-        vanished = _replace_if_present(frozenset({0, 1, 2}), graph, reconstruction)
+        converted, vanished = graph.convert_cliques([[0, 1, 2]])
+        assert converted == [0]
         assert vanished == []  # converted, but no edge hit weight zero
         assert graph.weight(0, 1) == 1
 
