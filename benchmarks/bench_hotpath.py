@@ -481,8 +481,3 @@ def test_hotpath_metrics_written():
         f"BENCH_hotpath.json lost required metrics: {missing}; "
         f"present keys: {sorted(payload)}"
     )
-
-
-def test_hotpath_engine_default_is_incremental():
-    """The microbench tracks the shipped configuration."""
-    assert MARIOH().engine == "incremental"

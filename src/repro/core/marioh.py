@@ -24,7 +24,6 @@ Variants (Sect. IV-E ablations):
 from __future__ import annotations
 
 import dataclasses
-import logging
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +38,6 @@ from repro.hypergraph.graph import WeightedGraph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.projection import project
 from repro.hypergraph.split import subsample_supervision
-from repro.resilience.errors import InvariantViolation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sharding.execute import ShardingConfig
@@ -49,8 +47,6 @@ VARIANTS = ("full", "no_multiplicity", "no_filtering", "no_bidirectional")
 #: store-key schema of cached fit results; bump whenever training
 #: semantics change so stale cached classifiers stop matching.
 FIT_SCHEMA = "repro-marioh-fit-v1"
-
-logger = logging.getLogger(__name__)
 
 
 class ModelLoadError(ValueError):
@@ -70,8 +66,8 @@ def _sampling_seed(seed: Optional[int]) -> int:
     seed from a *spawned child* of ``SeedSequence(seed)`` gives Phase-2
     sub-clique sampling a statistically independent stream under the
     same user-facing seed, so the two stages can never alias draws (and
-    engine- or cache-level changes to how often one stage recomputes
-    cannot perturb the other).  ``seed=None`` draws fresh OS entropy,
+    cache-level changes to how often one stage recomputes cannot
+    perturb the other).  ``seed=None`` draws fresh OS entropy,
     matching ``default_rng(None)``.
     """
     return int(np.random.SeedSequence(seed).spawn(1)[0].generate_state(1)[0])
@@ -125,23 +121,6 @@ class MARIOH:
         experiments; ``None`` runs until the graph empties, which is
         guaranteed to terminate because every iteration with θ = 0
         converts at least one clique).
-    engine:
-        ``"incremental"`` (the default) maintains the maximal cliques
-        with :class:`~repro.core.pool.CliqueCandidatePool` under edge
-        removals; ``"rescan"`` re-enumerates them every iteration (the
-        paper's pseudocode, kept as the reference implementation).  The
-        two engines produce identical reconstructions - equivalence is
-        enforced by the parity test suite.
-    strict_invariants:
-        The incremental engine self-audits its clique pool every
-        iteration (version counters, snapshot coherence, a sampled
-        staleness probe).  By default a violation logs a warning and
-        degrades gracefully: the remainder of that reconstruction runs
-        on the rescan engine (recorded in :attr:`engine_fallback_`).
-        With ``strict_invariants=True`` the violation raises
-        :class:`~repro.resilience.errors.InvariantViolation` instead -
-        the mode the parity/CI suites run under, so corruption can
-        never hide behind the fallback.
     seed:
         Seeds classifier initialization and sub-clique sampling.
     """
@@ -157,8 +136,6 @@ class MARIOH:
         negative_ratio: float = 2.0,
         max_epochs: int = 150,
         max_iterations: Optional[int] = None,
-        engine: str = "incremental",
-        strict_invariants: bool = False,
         record_provenance: bool = False,
         seed: Optional[int] = None,
     ) -> None:
@@ -175,10 +152,6 @@ class MARIOH:
             )
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        if engine not in ("rescan", "incremental"):
-            raise ValueError(
-                f"engine must be 'rescan' or 'incremental', got {engine!r}"
-            )
         self.theta_init = theta_init
         self.r = r
         self.alpha = alpha
@@ -188,8 +161,6 @@ class MARIOH:
         self.negative_ratio = negative_ratio
         self.max_epochs = max_epochs
         self.max_iterations = max_iterations
-        self.engine = engine
-        self.strict_invariants = strict_invariants
         self.record_provenance = record_provenance
         self.seed = seed
 
@@ -217,10 +188,6 @@ class MARIOH:
         #: per-conversion provenance, filled by reconstruct() when
         #: ``record_provenance`` is set.
         self.provenance_: List[ProvenanceRecord] = []
-        #: set by reconstruct() when the incremental engine failed its
-        #: invariant self-check and the run degraded to rescan mode:
-        #: {"iteration": int, "violation": str}.  None on clean runs.
-        self.engine_fallback_: Optional[Dict[str, object]] = None
         #: the working graph's in-place snapshot patch counters after
         #: the last reconstruct() (see
         #: :meth:`~repro.hypergraph.graph.WeightedGraph.snapshot_patch_stats`);
@@ -320,7 +287,7 @@ class MARIOH:
     def _restore_classifier(self, fitted: "MARIOH") -> None:
         """Adopt another instance's trained classifier (weights only).
 
-        ``self`` keeps its own search/engine configuration; only the
+        ``self`` keeps its own search configuration; only the
         network the cached payload carries is taken over.
         """
         self.classifier._mlp = fitted.classifier._mlp
@@ -364,9 +331,8 @@ class MARIOH:
         -----
         Deterministic for a fixed ``seed``: sub-clique sampling draws
         from a dedicated stream spawned off ``SeedSequence(seed)``
-        (independent of the classifier's stream), candidate ordering is
-        the pool's sorted view, and both engines produce byte-identical
-        results (property-tested).  Fills :attr:`stage_times_`,
+        (independent of the classifier's stream), and candidate ordering
+        is the sorted maximal-clique listing.  Fills :attr:`stage_times_`,
         :attr:`n_iterations_`, :attr:`iteration_seconds_`, and - when
         ``record_provenance`` - :attr:`provenance_`.
         """
@@ -404,10 +370,7 @@ class MARIOH:
                     )
                 )
 
-        pool = (
-            CliqueCandidatePool(working) if self.engine == "incremental" else None
-        )
-        self.engine_fallback_ = None
+        pool = CliqueCandidatePool(working)
         theta = self.theta_init
         iterations = 0
         self.iteration_seconds_ = []
@@ -418,31 +381,6 @@ class MARIOH:
                 and iterations >= self.max_iterations
             ):
                 break
-            if pool is not None:
-                violation = pool.check_invariants()
-                if violation is not None:
-                    if self.strict_invariants:
-                        raise InvariantViolation(
-                            f"incremental engine invariant violated at "
-                            f"iteration {iterations}: {violation}"
-                        )
-                    # Graceful degradation: the rescan engine derives
-                    # everything from the live graph, so dropping the
-                    # pool for the rest of this reconstruction trades
-                    # speed for correctness instead of propagating a
-                    # corrupt clique set.
-                    logger.warning(
-                        "incremental engine invariant violated at "
-                        "iteration %d (%s); falling back to the rescan "
-                        "engine for the rest of this reconstruction",
-                        iterations,
-                        violation,
-                    )
-                    self.engine_fallback_ = {
-                        "iteration": iterations,
-                        "violation": violation,
-                    }
-                    pool = None
             iteration_started = time.perf_counter()
             recorder: Optional[List[Tuple[frozenset, str, float]]] = (
                 [] if self.record_provenance else None
@@ -516,7 +454,9 @@ class MARIOH:
             "hidden_sizes": list(self.hidden_sizes),
             "negative_ratio": self.negative_ratio,
             "max_epochs": self.max_epochs,
-            "engine": self.engine,
+            # A constant: it keeps the payload bytes, and so the sha256
+            # pins of stored models and serve checkpoints, unchanged.
+            "engine": "incremental",
             "seed": self.seed,
             "classifier": self.classifier._mlp.to_dict(),
         }
@@ -548,7 +488,8 @@ class MARIOH:
               "version": 2,
               "theta_init": float, "r": float, "alpha": float,
               "phase2_scope": str,          # absent in older files
-              "variant": str, "engine": str, "seed": int | null,
+              "variant": str, "seed": int | null,
+              "engine": "incremental",      # ignored on load
               "hidden_sizes": [int, ...],   # classifier hyperparameters
               "negative_ratio": float, "max_epochs": int,
               "classifier": { ... }         # MLPClassifier.to_dict():
@@ -598,7 +539,6 @@ class MARIOH:
                 # simply predate the knob and ran under the global rule.
                 phase2_scope=payload.get("phase2_scope", "global"),
                 variant=payload["variant"],
-                engine=payload.get("engine", "rescan"),
                 seed=payload.get("seed"),
                 **classifier_kwargs,
             )

@@ -15,7 +15,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.classifier import CliqueClassifier
-from repro.hypergraph.cliques import Clique, maximal_cliques_list
+from repro.core.pool import CliqueCandidatePool
+from repro.hypergraph.cliques import Clique
 from repro.hypergraph.graph import Node, WeightedGraph
 from repro.hypergraph.hypergraph import Hypergraph
 
@@ -33,22 +34,21 @@ def _convert(
     members_of: Callable[[Clique], List[Node]],
     phase: str,
     recorder: Optional[List[Tuple[Clique, str, float]]],
-) -> Tuple[int, List[Tuple[Node, Node]]]:
+) -> int:
     """Greedily convert ``candidates`` (in order) whose edges all exist.
 
     One :meth:`~repro.hypergraph.graph.WeightedGraph.convert_cliques`
     pass decrements the converted cliques' edges; each converted clique
     is added to the reconstruction (and the recorder) in candidate
-    order.  Returns the number converted and the pairs whose edges
-    vanished.
+    order.  Returns the number converted.
     """
     member_lists = [members_of(clique) for clique in candidates]
-    converted, vanished = graph.convert_cliques(member_lists)
+    converted, _ = graph.convert_cliques(member_lists)
     for position in converted:
         reconstruction.add(member_lists[position])
         if recorder is not None:
             recorder.append((candidates[position], phase, float(scores[position])))
-    return len(converted), vanished
+    return len(converted)
 
 
 def sample_subcliques(
@@ -111,7 +111,7 @@ def sample_subcliques_stable(
     is bit-for-bit the stream the per-clique loop produced.
 
     ``members_of`` optionally supplies each clique's sorted member list
-    (the incremental engine passes the candidate pool's cached lists,
+    (the search loop passes the candidate pool's cached lists,
     :meth:`~repro.core.pool.CliqueCandidatePool.sorted_members`, saving
     a re-sort per clique per iteration).
 
@@ -264,7 +264,7 @@ def bidirectional_search(
     rng: Optional[np.random.Generator] = None,
     reference_graph: Optional[WeightedGraph] = None,
     skip_negative_phase: bool = False,
-    pool: Optional["CliqueCandidatePool"] = None,
+    pool: Optional[CliqueCandidatePool] = None,
     recorder: Optional[List[Tuple[Clique, str, float]]] = None,
     sample_seed: Optional[int] = None,
     phase2_scope: str = "global",
@@ -293,10 +293,10 @@ def bidirectional_search(
         When True, Phase 2 is skipped entirely - this is the MARIOH-B
         ablation.
     pool:
-        Optional :class:`~repro.core.pool.CliqueCandidatePool` tracking
-        ``graph``; when given, maximal cliques come from the pool and
-        edge removals are pushed back into it instead of re-enumerating
-        from scratch (the ``engine="incremental"`` fast path).
+        The :class:`~repro.core.pool.CliqueCandidatePool` of ``graph``,
+        kept across iterations so an iteration whose graph kept its
+        structure reuses the previous listing; one is built for this
+        call when omitted.
     recorder:
         Optional list collecting ``(clique, phase, score)`` tuples for
         every conversion (``phase`` is ``"phase1"`` or ``"phase2"``) -
@@ -318,7 +318,9 @@ def bidirectional_search(
     """
     if not 0.0 <= r <= 100.0:
         raise ValueError(f"r must be a percentage in [0, 100], got {r}")
-    cliques = pool.current() if pool is not None else maximal_cliques_list(graph)
+    if pool is None:
+        pool = CliqueCandidatePool(graph)
+    cliques = pool.current()
     if not cliques:
         return graph, reconstruction, 0
     scores = np.asarray(
@@ -336,10 +338,10 @@ def bidirectional_search(
         remaining, r, phase2_scope, cliques
     )
 
-    members_of = pool.sorted_members if pool is not None else sorted
+    members_of = pool.sorted_members
 
     # Phase 1: most promising maximal cliques, in descending score order.
-    converted, vanished_pairs = _convert(
+    converted = _convert(
         graph,
         reconstruction,
         [cliques[i] for i in positive_indices],
@@ -372,7 +374,7 @@ def bidirectional_search(
                 if score > theta
             ]
             passing.sort(key=lambda pair: -pair[0])
-            count, vanished = _convert(
+            converted += _convert(
                 graph,
                 reconstruction,
                 [subclique for _, subclique in passing],
@@ -381,11 +383,7 @@ def bidirectional_search(
                 "phase2",
                 recorder,
             )
-            converted += count
-            vanished_pairs.extend(vanished)
 
-    if pool is not None:
-        pool.notify_edges_removed(vanished_pairs)
     return graph, reconstruction, converted
 
 

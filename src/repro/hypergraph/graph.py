@@ -49,7 +49,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from itertools import combinations
 from typing import (
     Dict,
     FrozenSet,
@@ -717,23 +716,6 @@ class WeightedGraph:
             self._patch(u, v, remaining)
         return remaining
 
-    def decrement_clique(self, members: Iterable[Node]) -> List[Tuple[Node, Node]]:
-        """Convert one clique: decrement each of its internal edges by one.
-
-        A one-clique :meth:`convert_cliques` batch.  Returns the pairs
-        whose edges *vanished*, in sorted pair order.  Raises
-        ``KeyError`` - before mutating anything - if any pair is missing.
-        """
-        ordered = sorted(members)
-        converted, vanished = self.convert_cliques([ordered])
-        if not converted:
-            u, v = next(
-                (u, v) for u, v in combinations(ordered, 2)
-                if not self.has_edge(u, v)
-            )
-            raise KeyError(f"edge ({u}, {v}) not present")
-        return vanished
-
     def convert_cliques(
         self, member_lists: Sequence[Sequence[Node]]
     ) -> Tuple[List[int], List[Tuple[Node, Node]]]:
@@ -756,8 +738,9 @@ class WeightedGraph:
 
         Returns ``(converted, vanished)``: the positions in
         ``member_lists`` of the converted cliques, and the pairs whose
-        edges vanished, in the order they vanished - the payload of
-        :meth:`repro.core.pool.CliqueCandidatePool.notify_edges_removed`.
+        edges vanished, in the order they vanished (each advanced
+        ``structure_version``, so the search loop's clique listing is
+        redone).
         """
         adj = self._adj
         touch_version = self._touch_version

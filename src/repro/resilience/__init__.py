@@ -28,7 +28,6 @@ from repro.resilience.errors import (
     CheckpointCorruption,
     FaultInjected,
     InjectedCrash,
-    InvariantViolation,
     ResilienceError,
     TransientCellError,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "FaultInjected",
     "FaultPlan",
     "InjectedCrash",
-    "InvariantViolation",
     "ResilienceError",
     "RetryPolicy",
     "TransientCellError",

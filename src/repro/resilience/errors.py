@@ -4,10 +4,10 @@ These classes name the failure modes of the orchestrator's error
 taxonomy (see :mod:`repro.resilience.retry`): the *injected* variants
 are raised by the deterministic fault-injection harness
 (:mod:`repro.resilience.faults`), the others by real machinery - the
-watchdog, the checkpoint store, and the incremental engine's invariant
-self-check.  The retry engine classifies failures by exception type
-name, so a worker process and the coordinating process agree on the
-taxonomy without shipping exception objects across the pipe.
+watchdog and the checkpoint store.  The retry engine classifies
+failures by exception type name, so a worker process and the
+coordinating process agree on the taxonomy without shipping exception
+objects across the pipe.
 """
 
 from __future__ import annotations
@@ -40,12 +40,6 @@ class TransientCellError(FaultInjected):
 class CellTimeout(ResilienceError):
     """A cell exceeded its watchdog deadline (or an injected timeout
     fault fired).  Classified as ``"timeout"`` and retryable."""
-
-
-class InvariantViolation(ResilienceError):
-    """The incremental engine's self-check found its candidate pool out
-    of sync with the graph's structural state.  Classified as
-    ``"invariant-violation"``; never retried (it is deterministic)."""
 
 
 class CheckpointCorruption(ResilienceError):

@@ -5,7 +5,7 @@ This module supplies the layer that runs before quarantine:
 
 - :func:`classify_error` maps an exception type name onto the
   structured error taxonomy (``crash`` / ``timeout`` / ``transient`` /
-  ``invariant-violation`` / ``corrupt-checkpoint`` / ``error``), which
+  ``corrupt-checkpoint`` / ``error``), which
   every quarantine record carries as ``error_class``;
 - :class:`RetryPolicy` decides how many attempts a cell gets, how long
   to back off between them (exponential growth with *deterministic*
@@ -18,7 +18,7 @@ This module supplies the layer that runs before quarantine:
 
 Only ``crash``, ``timeout``, and ``transient`` failures are retried:
 they are the classes a re-execution can plausibly fix.  Deterministic
-failures (a cell that *raises*, an invariant violation) would fail
+failures (a cell that *raises*, a corrupt checkpoint) would fail
 identically on every attempt and are quarantined immediately.
 """
 
@@ -38,7 +38,6 @@ ERROR_CLASSES = (
     "crash",
     "timeout",
     "transient",
-    "invariant-violation",
     "corrupt-checkpoint",
     "error",
 )
@@ -53,7 +52,6 @@ _CLASS_BY_TYPE = {
     "CellTimeout": "timeout",
     "TimeoutError": "timeout",
     "TransientCellError": "transient",
-    "InvariantViolation": "invariant-violation",
     "CheckpointCorruption": "corrupt-checkpoint",
 }
 

@@ -22,14 +22,12 @@ current graph.  Three existing mechanisms make that cheap:
    whole graph is treated as one "component" (a full recompute per
    distinct graph state), trading incrementality for the paper's exact
    quota rule.
-3. **Engine degradation.**  Each per-component reconstruction runs the
-   incremental :class:`~repro.core.pool.CliqueCandidatePool` engine
-   under MARIOH's per-iteration ``check_invariants`` audit; a violation
-   degrades that reconstruction to the rescan engine (counted in
-   :attr:`StreamingReconstructor.stats`).  The streaming layer adds its
-   own audit, :meth:`StreamingReconstructor.check_invariants`: live
-   graph snapshot incoherence rebuilds the graph from its own edge
-   list and drops every cached component.
+3. **Live-graph audit.**  Per-component reconstructions are plain
+   :meth:`~repro.core.marioh.MARIOH.reconstruct` calls on fresh
+   subgraphs.  The one long-lived structure, the live graph, is audited
+   by :meth:`StreamingReconstructor.check_invariants`: snapshot
+   incoherence rebuilds it from its own edge list and drops every
+   cached component.
 
 The module also hosts the edit vocabulary (:func:`normalize_edit`,
 :func:`apply_edit`) shared by the daemon, the parity test harness, and
@@ -235,7 +233,6 @@ class StreamingReconstructor:
             "component_reconstructs": 0,
             "component_cache_hits": 0,
             "full_recomputes": 0,
-            "engine_fallbacks": 0,
             "invariant_rebuilds": 0,
         }
 
@@ -289,7 +286,7 @@ class StreamingReconstructor:
             # exact refresh is a whole-graph recompute (still memoized
             # per graph version, so repeated queries stay O(1)).
             self.stats["full_recomputes"] += 1
-            result = self._reconstruct_subgraph(self.graph)
+            result = self.model.reconstruct(self.graph)
         self._result = result
         self._result_version = self.graph.version
         return result
@@ -313,20 +310,11 @@ class StreamingReconstructor:
         self.stats["component_reconstructs"] += 1
         from repro.sharding.stitch import canonical_edge_list
 
-        edge_list = canonical_edge_list(
-            self._reconstruct_subgraph(subgraph)
-        )
+        edge_list = canonical_edge_list(self.model.reconstruct(subgraph))
         self._cache[key] = edge_list
         while len(self._cache) > self._max_cached:
             self._cache.popitem(last=False)
         return edge_list
-
-    def _reconstruct_subgraph(self, graph: WeightedGraph) -> Hypergraph:
-        """One model pass, tracking incremental-engine fallbacks."""
-        result = self.model.reconstruct(graph)
-        if self.model.engine_fallback_ is not None:
-            self.stats["engine_fallbacks"] += 1
-        return result
 
     # ------------------------------------------------------------------
     # Self-audit
@@ -334,8 +322,7 @@ class StreamingReconstructor:
     def check_invariants(self) -> Optional[str]:
         """Audit the live graph; degrade by rebuilding on violation.
 
-        Runs the graph's own snapshot-coherence audit (the same check
-        MARIOH's per-iteration engine degradation uses).  On violation
+        Runs the graph's own snapshot-coherence audit.  On violation
         the live graph is rebuilt from its edge list - discarding the
         possibly-corrupt snapshot and every derived cache - and the
         component memo is dropped, so the next refresh re-derives

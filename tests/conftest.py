@@ -108,6 +108,17 @@ def two_clique_graph(
     return graph
 
 
+def relist_every_iteration(monkeypatch) -> None:
+    """Make ``CliqueCandidatePool.current()`` list the live graph on
+    every call: the paper's per-iteration rescan, the memo's oracle."""
+    from repro.core.pool import CliqueCandidatePool
+    from repro.hypergraph.cliques import maximal_cliques_list
+
+    monkeypatch.setattr(
+        CliqueCandidatePool, "current", lambda self: maximal_cliques_list(self._graph)
+    )
+
+
 def structured_triangles_hypergraph(
     seed: int = 0,
     n_groups: int = 12,

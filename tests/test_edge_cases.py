@@ -14,6 +14,7 @@ from repro.core.marioh import MARIOH
 from repro.core.pool import CliqueCandidatePool
 from repro.datasets import load
 from repro.downstream.linkpred import link_prediction_auc
+from repro.hypergraph.cliques import maximal_cliques_list
 from repro.hypergraph.graph import WeightedGraph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.projection import project
@@ -70,9 +71,7 @@ class TestFeatureInteractions:
         hypergraph = random_hypergraph(seed=2, n_nodes=16, n_edges=28)
         source, target = split_source_target(hypergraph, seed=0)
         graph = project(target)
-        model = MARIOH(
-            seed=0, max_epochs=25, engine="incremental", record_provenance=True
-        )
+        model = MARIOH(seed=0, max_epochs=25, record_provenance=True)
         reconstruction = model.fit_reconstruct(source, graph)
         total = sum(record.multiplicity for record in model.provenance_)
         assert total == reconstruction.num_edges_with_multiplicity
@@ -83,9 +82,7 @@ class TestFeatureInteractions:
         source, target = split_source_target(hypergraph, seed=0)
         graph = project(target)
         for variant in ("no_multiplicity", "no_filtering", "no_bidirectional"):
-            model = MARIOH(
-                seed=0, max_epochs=20, engine="incremental", variant=variant
-            )
+            model = MARIOH(seed=0, max_epochs=20, variant=variant)
             reconstruction = model.fit_reconstruct(source, graph)
             assert project(reconstruction) == graph, variant
 
@@ -95,11 +92,9 @@ class TestFeatureInteractions:
         hypergraph = random_hypergraph(seed=4, n_nodes=14, n_edges=25)
         graph = project(hypergraph)
         pool = CliqueCandidatePool(graph)
-        pairs = list(graph.edges())[::2]
-        for u, v in pairs:
+        for u, v in list(graph.edges())[::2]:
             graph.set_weight(u, v, 0)
-        pool.notify_edges_removed(pairs)
-        assert pool.matches_rescan()
+        assert pool.current() == maximal_cliques_list(graph)
 
 
 class TestLinkPredictionWithGCN:

@@ -60,7 +60,7 @@ class TestCacheServesAndInvalidates:
         featurizer.featurize_many(candidates, graph)
         # Convert the {0,1,2} clique: weight-only decrements, no member
         # of any cached candidate is touched.
-        graph.decrement_clique([0, 1, 2])
+        graph.convert_cliques([[0, 1, 2]])
         hits_before = featurizer.row_cache_hits
         served = featurizer.featurize_many(candidates, graph)
         assert featurizer.row_cache_hits == hits_before + len(candidates)

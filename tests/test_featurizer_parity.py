@@ -24,7 +24,7 @@ from repro.hypergraph.graph import WeightedGraph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.projection import project
 from repro.hypergraph.split import split_source_target
-from tests.conftest import random_hypergraph
+from tests.conftest import random_hypergraph, relist_every_iteration
 
 FEATURIZERS = [CliqueFeaturizer, StructuralFeaturizer, MotifFeaturizer]
 
@@ -204,43 +204,47 @@ class TestFeaturizerParity:
 
 class TestEngineDefault:
     def test_incremental_is_default(self):
-        assert MARIOH().engine == "incremental"
+        """Payloads keep naming "incremental", so model sha256 pins hold."""
+        import json
+
+        hypergraph = random_hypergraph(seed=0, n_nodes=12, n_edges=18)
+        model = MARIOH(seed=0, max_epochs=5).fit(hypergraph, store=False)
+        assert json.loads(model.payload_bytes())["engine"] == "incremental"
 
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_default_engine_matches_rescan(self, seed):
+    def test_default_engine_matches_rescan(self, seed, monkeypatch):
         hypergraph = random_hypergraph(seed=seed, n_nodes=18, n_edges=32)
         source, target = split_source_target(hypergraph, seed=0)
         target_graph = project(target)
-        default = MARIOH(seed=seed, max_epochs=30)
-        rescan = MARIOH(seed=seed, max_epochs=30, engine="rescan")
-        result_default = default.fit_reconstruct(source, target_graph)
-        result_rescan = rescan.fit_reconstruct(source, target_graph)
-        assert result_default == result_rescan
-        assert default.n_iterations_ == rescan.n_iterations_
+        model = MARIOH(seed=seed, max_epochs=30).fit(source)
+        result_default = model.reconstruct(target_graph)
+        iterations = model.n_iterations_
+        relist_every_iteration(monkeypatch)
+        assert model.reconstruct(target_graph) == result_default
+        assert model.n_iterations_ == iterations
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=5, deadline=None)
     def test_property_cached_incremental_is_byte_identical_to_rescan(
         self, seed
     ):
-        """The feature-row cache + pool + in-place CSR patching must not
-        change a single conversion: both engines' reconstructions (and
-        their full provenance traces) coincide at any fixed seed."""
+        """The feature-row cache + memoized listing + in-place CSR
+        patching must not change a single conversion: the default run
+        and one that lists the cliques afresh every iteration produce
+        the same reconstruction and provenance trace at any fixed seed."""
         hypergraph = random_hypergraph(
             seed=seed % 100, n_nodes=14, n_edges=24
         )
         source, target = split_source_target(hypergraph, seed=0)
         target_graph = project(target)
-        incremental = MARIOH(
-            seed=seed, max_epochs=10, record_provenance=True
-        )
-        rescan = MARIOH(
-            seed=seed, max_epochs=10, engine="rescan", record_provenance=True
-        )
-        result_incremental = incremental.fit_reconstruct(source, target_graph)
-        result_rescan = rescan.fit_reconstruct(source, target_graph)
-        assert result_incremental == result_rescan
-        assert incremental.provenance_ == rescan.provenance_
+        default = MARIOH(seed=seed, max_epochs=10, record_provenance=True)
+        rescan = MARIOH(seed=seed, max_epochs=10, record_provenance=True)
+        result_default = default.fit_reconstruct(source, target_graph)
+        with pytest.MonkeyPatch.context() as patch:
+            relist_every_iteration(patch)
+            result_rescan = rescan.fit_reconstruct(source, target_graph)
+        assert result_default == result_rescan
+        assert default.provenance_ == rescan.provenance_
 
     def test_cache_participates_at_fixed_seed(self):
         """Deterministic companion to the property test: at this seed

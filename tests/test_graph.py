@@ -386,18 +386,18 @@ class TestTouchVersionsAndPatching:
             live.weighted_degrees, rebuilt.weighted_degrees
         )
 
-    def test_decrement_clique_returns_vanished_pairs(self):
+    def test_convert_cliques_returns_vanished_pairs(self):
         graph = WeightedGraph()
         graph.add_edge(0, 1, 2)
         graph.add_edge(0, 2, 1)
         graph.add_edge(1, 2, 3)
-        vanished = graph.decrement_clique([0, 1, 2])
-        assert vanished == [(0, 2)]
+        converted, vanished = graph.convert_cliques([[0, 1, 2]])
+        assert (converted, vanished) == ([0], [(0, 2)])
         assert graph.weight(0, 1) == 1
         assert graph.weight(1, 2) == 2
         assert not graph.has_edge(0, 2)
 
-    def test_decrement_clique_is_atomic(self):
+    def test_convert_cliques_skip_is_atomic(self):
         graph = WeightedGraph()
         graph.add_edge(0, 1, 2)
         graph.add_edge(0, 2, 2)
@@ -405,8 +405,8 @@ class TestTouchVersionsAndPatching:
         before = graph.copy()
         version = graph.version
         touches = {u: graph.touch_version(u) for u in (0, 1, 2)}
-        with pytest.raises(KeyError, match=r"\(1, 2\)"):
-            graph.decrement_clique([0, 1, 2])  # pair (1, 2) is missing
+        # Pair (1, 2) is missing: the clique is skipped untouched.
+        assert graph.convert_cliques([[0, 1, 2]]) == ([], [])
         assert graph == before
         assert graph.weight(0, 1) == graph.weight(0, 2) == 2
         assert graph.version == version

@@ -142,6 +142,33 @@ class TestPersistenceVersioning:
         graph = project(hypergraph)
         assert loaded.reconstruct(graph) == model.reconstruct(graph)
 
+    @pytest.mark.parametrize("engine", ["rescan", "incremental", None])
+    def test_engine_key_is_accepted_and_ignored(self, engine):
+        """Payloads name the engine they were saved under.  Any value,
+        or none at all (a v1 payload), loads and reconstructs
+        byte-identically to the default, and re-saves as "incremental"."""
+        import json
+
+        from repro.sharding.stitch import hypergraph_digest
+
+        hypergraph = random_hypergraph(seed=5, n_nodes=16, n_edges=26)
+        source, target = split_source_target(hypergraph, seed=0)
+        graph = project(target)
+        model = MARIOH(seed=0, max_epochs=20).fit(source)
+        payload = json.loads(model.payload_bytes())
+        assert payload["engine"] == "incremental"
+        if engine is None:
+            for key in ("engine", "hidden_sizes", "negative_ratio", "max_epochs"):
+                del payload[key]
+            payload["version"] = 1
+        else:
+            payload["engine"] = engine
+        loaded = MARIOH.loads(json.dumps(payload).encode("utf-8"))
+        assert hypergraph_digest(loaded.reconstruct(graph)) == hypergraph_digest(
+            model.reconstruct(graph)
+        )
+        assert json.loads(loaded.payload_bytes())["engine"] == "incremental"
+
     def test_unknown_version_rejected(self, tmp_path):
         import json
 

@@ -1,5 +1,5 @@
 """Tests for the resilience subsystem: fault injection, retries,
-checkpoint integrity, and engine degradation.
+checkpoint integrity, and live-state audits.
 
 The headline property (``@pytest.mark.faults``, also run by CI's chaos
 job): a grid executed under deterministic fault injection - worker
@@ -19,15 +19,14 @@ import time
 
 import pytest
 
-from repro.core.marioh import MARIOH
 from repro.core.pool import CliqueCandidatePool
 from repro.experiments.orchestrator import GridSpec, cell_key, run_grid
+from repro.hypergraph.cliques import maximal_cliques_list
 from repro.hypergraph.graph import WeightedGraph
 from repro.resilience import (
     CellTimeout,
     CheckpointStore,
     FaultPlan,
-    InvariantViolation,
     RetryPolicy,
     classify_error,
     format_quarantine_table,
@@ -37,7 +36,6 @@ from repro.resilience import (
 )
 from repro.resilience.checkpoint import decode_checkpoint, encode_checkpoint
 from repro.rng import unit_uniform
-from tests.conftest import structured_triangles_hypergraph
 
 FAST_METHODS = ("MaxClique", "CliqueCovering")
 
@@ -183,7 +181,6 @@ class TestRetryPolicy:
         assert classify_error("WorkerCrash") == "crash"
         assert classify_error("CellTimeout") == "timeout"
         assert classify_error("TransientCellError") == "transient"
-        assert classify_error("InvariantViolation") == "invariant-violation"
         assert classify_error("CheckpointCorruption") == "corrupt-checkpoint"
         # Ordinary exceptions are deterministic, hence non-retryable.
         assert classify_error("KeyError") == "error"
@@ -554,7 +551,7 @@ class TestFaultInjectionDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Engine degradation
+# Live-state audits
 # ----------------------------------------------------------------------
 def _complete_graph(n):
     graph = WeightedGraph()
@@ -565,32 +562,15 @@ def _complete_graph(n):
 
 
 class TestEngineInvariants:
-    def test_clean_pool_passes_self_check(self):
-        graph = _complete_graph(5)
-        pool = CliqueCandidatePool(graph)
-        assert pool.check_invariants() is None
-        vanished = graph.decrement_clique(frozenset(range(4)))
-        pool.notify_edges_removed(vanished)
-        assert pool.check_invariants() is None
-        assert pool.matches_rescan()
-
     def test_unreported_structural_mutation_detected(self):
+        """A structural change made behind the pool's back still shows:
+        the listing is keyed on the graph's structure version."""
         graph = _complete_graph(5)
         pool = CliqueCandidatePool(graph)
-        graph.remove_edge(0, 1)  # structural change, pool never told
-        violation = pool.check_invariants()
-        assert violation is not None
-        assert "structure_version" in violation
-
-    def test_partial_notification_detected(self):
-        graph = _complete_graph(4)
-        pool = CliqueCandidatePool(graph)
+        assert pool.current() == [frozenset(range(5))]
         graph.remove_edge(0, 1)
-        graph.remove_edge(2, 3)
-        pool.notify_edges_removed([(0, 1)])  # under-reports: (2,3) lost
-        violation = pool.check_invariants()
-        assert violation is not None
-        assert "bypassed notify_edges_removed" in violation
+        assert frozenset(range(5)) not in pool.current()
+        assert pool.current() == maximal_cliques_list(graph)
 
     def test_snapshot_coherence_detects_version_skew(self):
         graph = _complete_graph(4)
@@ -602,59 +582,6 @@ class TestEngineInvariants:
         violation = graph.check_snapshot_coherence()
         assert violation is not None
         assert "version" in violation
-
-
-class TestEngineDegradation:
-    def _fitted(self, **kwargs):
-        hypergraph = structured_triangles_hypergraph(seed=0, n_groups=6)
-        model = MARIOH(seed=0, max_epochs=20, **kwargs)
-        model.fit(hypergraph)
-        return model, hypergraph
-
-    def test_clean_run_records_no_fallback(self):
-        from repro.hypergraph.projection import project
-
-        model, hypergraph = self._fitted()
-        model.reconstruct(project(hypergraph))
-        assert model.engine_fallback_ is None
-
-    def test_violation_degrades_to_rescan_with_identical_result(
-        self, monkeypatch, caplog
-    ):
-        import logging
-
-        from repro.hypergraph.projection import project
-
-        model, hypergraph = self._fitted()
-        reference = MARIOH(seed=0, max_epochs=20, engine="rescan")
-        reference.fit(hypergraph)
-        expected = reference.reconstruct(project(hypergraph))
-
-        monkeypatch.setattr(
-            CliqueCandidatePool,
-            "check_invariants",
-            lambda self: "synthetic corruption for testing",
-        )
-        with caplog.at_level(logging.WARNING, logger="repro.core.marioh"):
-            degraded = model.reconstruct(project(hypergraph))
-        assert model.engine_fallback_ == {
-            "iteration": 0,
-            "violation": "synthetic corruption for testing",
-        }
-        assert "falling back to the rescan engine" in caplog.text
-        assert degraded == expected
-
-    def test_strict_invariants_raises(self, monkeypatch):
-        from repro.hypergraph.projection import project
-
-        model, hypergraph = self._fitted(strict_invariants=True)
-        monkeypatch.setattr(
-            CliqueCandidatePool,
-            "check_invariants",
-            lambda self: "synthetic corruption for testing",
-        )
-        with pytest.raises(InvariantViolation, match="iteration 0"):
-            model.reconstruct(project(hypergraph))
 
 
 # ----------------------------------------------------------------------
